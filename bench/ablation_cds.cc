@@ -62,44 +62,35 @@ int main(int argc, char** argv) {
   std::puts("expect: both reach local optima of the same neighbourhood; "
             "first-improvement usually needs more moves but each is cheaper.");
 
-  // Second axis: scan vs indexed engine, same move sequence by construction,
-  // so cost columns would be identical — what differs is the work done. The
-  // evals column is CdsStats::moves_evaluated (Δc computations); repairs is
-  // the number of cached best-move entries the indexed engine recomputed.
-  AsciiTable engines({"N", "scan: evals", "idx: evals", "idx: repairs",
-                      "scan: ms", "idx: ms"});
+  // Second axis: the work of best-improvement's move search. run_cds finds
+  // each move through the candidate index; the paper's exhaustive scan would
+  // evaluate all N·(K−1) moves per applied move plus one final scan, so its
+  // evals column is computed, not run (both pick the same moves). idx: evals
+  // is CdsStats::moves_evaluated (Δc computations); repairs is the number of
+  // cached pairs the index re-queried.
+  AsciiTable work({"N", "scan: evals", "idx: evals", "idx: repairs", "idx: ms"});
   for (std::size_t n = 60; n <= 180; n += 40) {
-    double evals_scan = 0.0, evals_idx = 0.0, repairs_idx = 0.0;
-    double ms_scan = 0.0, ms_idx = 0.0;
+    double evals_scan = 0.0, evals_idx = 0.0, repairs_idx = 0.0, ms_idx = 0.0;
     for (std::size_t trial = 0; trial < options.trials; ++trial) {
       const Database db = generate_database({.items = n, .skewness = d.skewness,
                                              .diversity = d.diversity,
                                              .seed = 9500 + n + trial});
-      for (CdsEngine engine : {CdsEngine::kScan, CdsEngine::kIndexed}) {
-        Allocation alloc = run_drp(db, d.channels).allocation;
-        Stopwatch watch;
-        const CdsStats stats = run_cds(alloc, {.engine = engine});
-        const double ms = watch.millis();
-        if (engine == CdsEngine::kScan) {
-          evals_scan += static_cast<double>(stats.moves_evaluated);
-          ms_scan += ms;
-        } else {
-          evals_idx += static_cast<double>(stats.moves_evaluated);
-          repairs_idx += static_cast<double>(stats.index_repairs);
-          ms_idx += ms;
-        }
-      }
+      Allocation alloc = run_drp(db, d.channels).allocation;
+      Stopwatch watch;
+      const CdsStats stats = run_cds(alloc);
+      ms_idx += watch.millis();
+      evals_scan += static_cast<double>((stats.iterations + 1) * n * (d.channels - 1));
+      evals_idx += static_cast<double>(stats.moves_evaluated);
+      repairs_idx += static_cast<double>(stats.index_repairs);
     }
     const auto t = static_cast<double>(options.trials);
-    engines.add_row(std::to_string(n),
-                    {evals_scan / t, evals_idx / t, repairs_idx / t, ms_scan / t,
-                     ms_idx / t},
-                    3);
+    work.add_row(std::to_string(n),
+                 {evals_scan / t, evals_idx / t, repairs_idx / t, ms_idx / t}, 3);
   }
   // Printed without a CSV emit: --csv already captured the policy table, and
   // a second emit to the same path would clobber it.
-  std::fputs(engines.render().c_str(), stdout);
-  std::puts("expect: identical move sequences, but the indexed engine "
-            "evaluates far fewer moves per applied move.");
+  std::fputs(work.render().c_str(), stdout);
+  std::puts("expect: the index evaluates far fewer moves per applied move "
+            "than the exhaustive scan.");
   return 0;
 }

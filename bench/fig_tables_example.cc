@@ -3,6 +3,7 @@
 // intermediate state next to the paper's reported numbers.
 #include <cstdio>
 
+#include "core/candidate_index.h"
 #include "core/cds.h"
 #include "core/drp.h"
 #include "common/strings.h"
@@ -58,10 +59,11 @@ int main() {
 
   print_groups(alloc, "Table 4(a) — CDS initial state (paper: 24.09)");
   int iteration = 0;
+  CandidateIndex index(alloc);
   while (true) {
-    const CdsMove move = best_move(alloc);
-    if (move.gain <= 1e-12) break;
-    alloc.move(move.item, move.to);
+    const CdsMove move = index.best_move();
+    if (!(move.gain > CdsOptions{}.min_gain)) break;
+    index.apply(move);
     ++iteration;
     std::printf("iteration %d: move d%u from group %u to group %u, dc=%.2f, "
                 "cost=%.2f\n", iteration, move.item + 1, move.from + 1,

@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the primitive operations behind the
 // paper's complexity analysis: the O(N) partition scan, the O(1) Δc formula,
-// single CDS sweeps, full DRP / DRP-CDS / VF^K / GOPT runs, and the workload
-// generator and simulator substrates.
+// the CDS candidate-index build, full DRP / CDS / DRP-CDS / VF^K / GOPT runs,
+// and the workload generator and simulator substrates.
 #include <benchmark/benchmark.h>
 
 #include "baselines/annealing.h"
@@ -9,6 +9,7 @@
 #include "baselines/vfk.h"
 #include "common/distributions.h"
 #include "replication/min_wait.h"
+#include "core/candidate_index.h"
 #include "core/cds.h"
 #include "core/drp.h"
 #include "core/drp_cds.h"
@@ -68,17 +69,17 @@ void BM_MoveGain(benchmark::State& state) {
 }
 BENCHMARK(BM_MoveGain);
 
-void BM_CdsSingleSweep(benchmark::State& state) {
+void BM_CandidateIndexBuild(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const Database db = make_db(n);
-  const Allocation start = run_drp(db, 8).allocation;
+  Allocation alloc = run_drp(db, 8).allocation;
   for (auto _ : state) {
-    Allocation alloc = start;
-    benchmark::DoNotOptimize(best_move(alloc));
+    CandidateIndex index(alloc);
+    benchmark::DoNotOptimize(index.best_move());
   }
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_CdsSingleSweep)->Range(64, 2048)->Complexity(benchmark::oN);
+BENCHMARK(BM_CandidateIndexBuild)->Range(64, 2048)->Complexity(benchmark::oN);
 
 void BM_DrpFull(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -119,31 +120,16 @@ void BM_GoptSmallBudget(benchmark::State& state) {
 }
 BENCHMARK(BM_GoptSmallBudget)->Unit(benchmark::kMillisecond);
 
-void BM_CdsScanEngine(benchmark::State& state) {
+void BM_CdsToConvergence(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const Database db = make_db(n);
   const Allocation start = run_drp(db, 10).allocation;
   for (auto _ : state) {
     Allocation alloc = start;
-    CdsOptions o;
-    o.engine = CdsEngine::kScan;
-    benchmark::DoNotOptimize(run_cds(alloc, o));
+    benchmark::DoNotOptimize(run_cds(alloc));
   }
 }
-BENCHMARK(BM_CdsScanEngine)->Range(128, 2048);
-
-void BM_CdsIndexedEngine(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Database db = make_db(n);
-  const Allocation start = run_drp(db, 10).allocation;
-  for (auto _ : state) {
-    Allocation alloc = start;
-    CdsOptions o;
-    o.engine = CdsEngine::kIndexed;
-    benchmark::DoNotOptimize(run_cds(alloc, o));
-  }
-}
-BENCHMARK(BM_CdsIndexedEngine)->Range(128, 2048);
+BENCHMARK(BM_CdsToConvergence)->Range(128, 2048);
 
 void BM_Annealing(benchmark::State& state) {
   const Database db = make_db(120);

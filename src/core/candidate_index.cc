@@ -16,7 +16,7 @@ constexpr ChannelId kNoDup = std::numeric_limits<ChannelId>::max();
 /// One deduplicated channel point (Z_c, F_c). Channels with bit-identical
 /// aggregates (e.g. several empty channels) collapse into one point that
 /// remembers its two smallest channel ids, so load ties still resolve to the
-/// smallest id exactly like the scan engine.
+/// smallest id exactly like the exhaustive scan.
 struct ChannelPoint {
   double z = 0.0;         // Z_c (x axis)
   double f = 0.0;         // F_c (y axis)
@@ -164,7 +164,7 @@ void CandidateIndex::query_pair(ItemId y) {
   const std::size_t lo = chain_argmin(z1, f1, layer1_.size(), f, z);
 
   // Exact best among the located vertex and its chain neighbours, by
-  // (load, id) — the scan engine's target tie-break.
+  // (load, id) — the exhaustive scan's target tie-break.
   std::size_t bi = lo;
   double bs = load1(lo);
   auto consider_best = [&](std::size_t i) {
@@ -223,7 +223,7 @@ void CandidateIndex::refresh_gain(ItemId y, ChannelId home) {
   const double f = item_freq_[y];
   const double z = item_size_[y];
   // Same expression in the same order as Allocation::move_gain (Eq. 4), so
-  // the cached gain is bit-identical to what the scan engine computes — the
+  // the cached gain is bit-identical to what an exhaustive scan computes — the
   // call is only inlined here because this runs a few million times per
   // large CDS run.
   gain_[y] = f * (chan_size_[home] - chan_size_[to]) +
@@ -287,7 +287,7 @@ CdsMove CandidateIndex::best_move() {
 
   // Selection is a pure argmax over the cached gain column. Keeping the
   // first maximum ties to the smallest item id — the same total order the
-  // scan engine's ascending-id strict-> loop induces.
+  // exhaustive scan's ascending-id strict-> loop induces.
   const double* g = gain_.data();
   std::size_t bi = 0;
   double bg = g[0];

@@ -10,8 +10,8 @@
 // The index holds three columnar caches, all indexed by ItemId:
 //   * (c1, s1): the min-load channel and its load;
 //   * (c2, s2): the runner-up channel and its load;
-//   * gain: Δc of the item's candidate move (x → c1), computed with the
-//     scan engine's exact Eq. 4 arithmetic, or −∞ when c1 is home.
+//   * gain: Δc of the item's candidate move (x → c1), computed with
+//     Allocation::move_gain's exact Eq. 4 arithmetic, or −∞ when c1 is home.
 //
 // Loads are linear functionals over the channel points (Z_c, F_c), so the
 // exact min-2 is found on two convex-hull onion layers with an O(log K)
@@ -47,7 +47,7 @@ class CandidateIndex {
 
   /// \brief Folds any pending move into the caches and returns the best
   /// single-item move (gain may be ≤ 0 at a local optimum). Ties resolve
-  /// like the scan engine: smallest item id, and per item the
+  /// like the paper's exhaustive scan: smallest item id, and per item the
   /// smallest-load (then smallest-id) target.
   CdsMove best_move();
 

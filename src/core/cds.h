@@ -1,11 +1,21 @@
 // Mechanism CDS — Cost-Diminishing Selection (paper §3.2).
 //
-// Local-search refinement over an existing allocation. Each iteration
-// evaluates every single-item move d_x : D_p → D_q with the closed-form
-// reduction of Eq. (4),
+// Local-search refinement over an existing allocation. Each iteration finds
+// the best single-item move d_x : D_p → D_q by the closed-form reduction of
+// Eq. (4),
 //     Δc = f_x (Z_p − Z_q) + z_x (F_p − F_q) − 2 f_x z_x,
-// applies the best strictly-improving move, and stops when no move improves —
-// a local optimum of the cost function under the single-move neighbourhood.
+// applies it if it strictly improves, and stops when no move improves — a
+// local optimum of the cost function under the single-move neighbourhood.
+//
+// The paper finds that move by scanning all N·(K−1) candidates. run_cds finds
+// the same move through the per-item candidate index
+// (core/candidate_index.h): Eq. 4 factors into a home potential minus a
+// target load, so each item's best target is its minimal-load channel. The
+// index caches each item's two smallest-load channels and repairs them
+// incrementally, so an iteration costs one O(N) pass plus O(log K) per
+// repaired item instead of O(N·K). It computes every gain with the scan's Eq. 4 arithmetic and
+// tie-break order, so the move sequence is the scan's (docs/ARCHITECTURE.md
+// §5 gives the exactness argument).
 #pragma once
 
 #include <cstddef>
@@ -16,49 +26,18 @@
 
 namespace dbs {
 
-/// Move-acceptance policy. The paper scans all K·N·(K−1) moves and applies
-/// the single best one per iteration (best-improvement); first-improvement
-/// applies the first strictly improving move found and is the subject of an
+/// Move-acceptance policy. Best-improvement applies the single best move per
+/// iteration, as in the paper; first-improvement applies the first strictly
+/// improving move in (item, channel) scan order and is the subject of an
 /// ablation bench.
 enum class CdsPolicy {
   kBestImprovement,
   kFirstImprovement,
 };
 
-/// Move-search engine.
-///
-/// kScan re-evaluates all N·(K−1) moves every iteration (the paper's O(K²N)
-/// loop, with our O(1) Δc making it O(NK)). kIndexed maintains a per-item
-/// candidate index (core/candidate_index.h): Eq. 4 factors into a
-/// home-potential minus a target-load term, so each item's best target is
-/// the channel of minimal load; the index caches each item's two
-/// smallest-load channels and repairs them incrementally, making an
-/// iteration O(N + repairs·K) instead of O(N·K). kAuto (the default) picks
-/// kScan below the `kAutoIndexedThreshold` problem size and kIndexed above
-/// it, so small runs keep the scan's bit-exact legacy behavior while the
-/// 10^6-item hot path gets the index.
-///
-/// Both engines evaluate candidate gains with the same Eq. 4 arithmetic and
-/// tie-break order, so on the test workloads they produce identical move
-/// sequences; the index's target selection can differ from the scan only on
-/// floating-point near-ties of the load functional (ARCHITECTURE.md §5).
-///
-/// The environment variable DBS_CDS_ENGINE (values: scan | indexed | auto)
-/// overrides whatever the caller requested — it exists so CI can smoke the
-/// whole suite with the index disabled (the `index-off` job).
-enum class CdsEngine {
-  kScan,
-  kIndexed,
-  kAuto,
-};
-
-/// N·K at and above which kAuto selects the indexed engine.
-inline constexpr std::size_t kAutoIndexedThreshold = std::size_t{1} << 22;
-
 /// CDS tuning knobs; defaults reproduce the paper.
 struct CdsOptions {
   CdsPolicy policy = CdsPolicy::kBestImprovement;
-  CdsEngine engine = CdsEngine::kAuto;
 
   /// Safety bound on iterations (each iteration applies one move). The cost
   /// strictly decreases every iteration, so termination is guaranteed anyway;
@@ -67,6 +46,7 @@ struct CdsOptions {
 
   /// A move must reduce cost by more than this to be applied. Zero matches
   /// the paper's Δc > 0; the tiny default avoids cycling on rounding noise.
+  /// A NaN gain never counts as an improvement.
   double min_gain = 1e-12;
 
   /// Cooperative cancellation (DESIGN.md §13): polled once per applied-move
@@ -85,13 +65,14 @@ struct CdsStats {
   bool converged = true;  ///< false iff max_iterations or the deadline
                           ///< stopped the search before a local optimum
 
-  /// Candidate moves whose Δc was computed. This is the real work metric for
-  /// comparing engines: kScan pays N·(K−1) per iteration while kIndexed pays
-  /// only for cache repairs, so equal `iterations` hide very different costs.
+  /// Candidate moves whose Δc was computed. Best-improvement pays one per
+  /// item when the index is built and one per disturbed item per applied
+  /// move; first-improvement pays for the scan prefix it reads each
+  /// iteration. Equal `iterations` can hide very different work.
   std::size_t moves_evaluated = 0;
 
-  /// Cache entries recomputed from scratch by the kIndexed engine's repair
-  /// pass (always 0 for kScan, which keeps no cache).
+  /// Cached min-2 pairs the candidate index re-queried against its hull
+  /// (always 0 under first-improvement, which keeps no cache).
   std::size_t index_repairs = 0;
 
   double total_reduction() const { return initial_cost - final_cost; }
@@ -105,14 +86,8 @@ struct CdsMove {
   double gain = 0.0;
 };
 
-/// \brief Scans all moves and returns the best one (gain may be ≤ 0 if the
-/// allocation is already locally optimal). Deterministic: ties resolve to the
-/// smallest (item, to) pair. O(N·K) with incremental aggregates.
-CdsMove best_move(const Allocation& alloc);
-
 /// \brief Refines `alloc` in place until a local optimum (or the iteration
-/// bound)
-/// is reached. Returns per-run statistics.
+/// bound, or the deadline) is reached. Returns per-run statistics.
 CdsStats run_cds(Allocation& alloc, const CdsOptions& options = {});
 
 }  // namespace dbs

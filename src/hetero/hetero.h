@@ -41,7 +41,8 @@ HeteroResult schedule_hetero(const Database& db,
                              const std::vector<double>& bandwidths);
 
 /// The generalized move reduction (positive = the move lowers W). Exposed
-/// for tests; O(N) because it recomputes the per-channel download sums.
+/// for tests; O(1) from the allocation's channel aggregates, after an O(K)
+/// check of the bandwidth vector.
 double hetero_move_gain(const Allocation& alloc,
                         const std::vector<double>& bandwidths, ItemId item,
                         ChannelId to);

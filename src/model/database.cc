@@ -37,7 +37,8 @@ void Database::validate_and_normalize() {
                   "item " << i << " has negative frequency " << freq_[i]);
     freq_sum += freq_[i];
   }
-  DBS_CHECK_MSG(freq_sum > 0.0, "total access frequency must be positive");
+  DBS_CHECK_MSG(std::isfinite(freq_sum) && freq_sum > 0.0,
+                "total access frequency must be positive and finite, got " << freq_sum);
 
   total_size_ = 0.0;
   weighted_size_ = 0.0;
@@ -48,6 +49,13 @@ void Database::validate_and_normalize() {
     weighted_size_ += freq_[i] * size_[i];
     br_[i] = freq_[i] / size_[i];
   }
+  // Finite items can still overflow in aggregate. With Σf = 1, every
+  // channel cost F·Z is at most Σz and every Eq. 4 gain at most 4·Σz in
+  // magnitude, so a finite 4·Σz keeps them all finite; an inf − inf gain
+  // would otherwise be NaN by the time it reaches CDS's termination test.
+  DBS_CHECK_MSG(std::isfinite(weighted_size_) && std::isfinite(4.0 * total_size_),
+                "catalogue aggregates overflow: sum of sizes = "
+                    << total_size_ << ", sum of f*z = " << weighted_size_);
 
   // The benefit order and its prefix sums are part of the catalogue: every
   // scheduler run shares this one sort instead of re-deriving it (the sort

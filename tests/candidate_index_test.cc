@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "cds_oracle.h"
 #include "common/check.h"
 #include "common/rng.h"
 #include "core/cds.h"
@@ -15,11 +16,11 @@ namespace dbs {
 namespace {
 
 // The index's one correctness obligation: at every step its best_move() must
-// equal the scan engine's exhaustive best_move() — same item, same target,
-// bit-identical gain (both compute Eq. 4 with the same expression).
+// equal the oracle's exhaustive scan — same item, same target, bit-identical
+// gain (both compute Eq. 4 with the same expression).
 void expect_matches_scan(Allocation& alloc, CandidateIndex& index,
                          const char* context) {
-  const CdsMove scan = best_move(alloc);
+  const CdsMove scan = oracle::best_move(alloc);
   const CdsMove indexed = index.best_move();
   ASSERT_EQ(scan.item, indexed.item) << context;
   ASSERT_EQ(scan.from, indexed.from) << context;
@@ -49,7 +50,7 @@ TEST(CandidateIndex, AgreesWithScanAlongAGreedyTrajectory) {
     if (move.gain <= 1e-12) break;
     index.apply(move);
   }
-  EXPECT_LE(best_move(alloc).gain, 1e-12) << "trajectory must end at the optimum";
+  EXPECT_LE(oracle::best_move(alloc).gain, 1e-12) << "trajectory must end at the optimum";
 }
 
 TEST(CandidateIndex, AgreesWithScanUnderArbitraryMoves) {

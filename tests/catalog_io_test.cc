@@ -4,6 +4,8 @@
 
 #include <sstream>
 
+#include "common/check.h"
+
 namespace dbs {
 namespace {
 
@@ -102,6 +104,14 @@ TEST(CatalogIo, LoadsPaperSampleFromRepo) {
   EXPECT_EQ(catalog.database.size(), 15u);
   EXPECT_NEAR(catalog.database.total_size(), 135.60, 1e-9);
   EXPECT_EQ(catalog.name_of(10), "d11");
+}
+
+TEST(CatalogIo, RejectsCatalogueWhoseSizesOverflow) {
+  // Three finite 1e308 sizes sum to infinity. Accepted, they would make
+  // every Eq. 4 gain NaN and send DRP-CDS into an endless loop.
+  EXPECT_THROW(load_catalog_file(std::string(DBS_SOURCE_DIR) +
+                                 "/tests/data/overflow_catalog.csv"),
+               ContractViolation);
 }
 
 }  // namespace

@@ -2,35 +2,16 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <cmath>
 #include <string>
 
-#include "common/check.h"
+#include "cds_oracle.h"
+#include "core/candidate_index.h"
 #include "core/drp.h"
 #include "workload/generator.h"
 
 namespace dbs {
 namespace {
-
-// Sets DBS_CDS_ENGINE for one test body and restores the previous state on
-// scope exit, so a failing assertion can't leak the override into later tests.
-class ScopedEngineEnv {
- public:
-  explicit ScopedEngineEnv(const char* value) {
-    if (const char* prev = std::getenv("DBS_CDS_ENGINE")) saved_ = prev;
-    ::setenv("DBS_CDS_ENGINE", value, /*overwrite=*/1);
-  }
-  ~ScopedEngineEnv() {
-    if (saved_.empty()) {
-      ::unsetenv("DBS_CDS_ENGINE");
-    } else {
-      ::setenv("DBS_CDS_ENGINE", saved_.c_str(), /*overwrite=*/1);
-    }
-  }
-
- private:
-  std::string saved_;
-};
 
 TEST(BestMove, FindsKnownImprovement) {
   // Channel 0 = {popular small d0, huge cold d2}, channel 1 = {popular small
@@ -39,7 +20,7 @@ TEST(BestMove, FindsKnownImprovement) {
   // instead gains exactly 0).
   const Database db({1.0, 1.0, 100.0}, {0.45, 0.45, 0.10});
   Allocation alloc(db, 2, {0, 1, 0});
-  const CdsMove move = best_move(alloc);
+  const CdsMove move = oracle::best_move(alloc);
   EXPECT_EQ(move.item, 0u);
   EXPECT_EQ(move.from, 0u);
   EXPECT_EQ(move.to, 1u);
@@ -50,7 +31,7 @@ TEST(BestMove, FindsKnownImprovement) {
 TEST(BestMove, GainAgreesWithAllocationMoveGain) {
   const Database db = generate_database({.items = 30, .seed = 1});
   Allocation alloc = run_drp(db, 4).allocation;
-  const CdsMove move = best_move(alloc);
+  const CdsMove move = oracle::best_move(alloc);
   EXPECT_DOUBLE_EQ(move.gain, alloc.move_gain(move.item, move.to));
 }
 
@@ -58,7 +39,7 @@ TEST(BestMove, AtLocalOptimumGainIsNonPositive) {
   const Database db = generate_database({.items = 25, .seed = 2});
   Allocation alloc = run_drp(db, 3).allocation;
   run_cds(alloc);
-  EXPECT_LE(best_move(alloc).gain, 1e-12);
+  EXPECT_LE(oracle::best_move(alloc).gain, 1e-12);
 }
 
 TEST(Cds, CostNeverIncreasesAndConverges) {
@@ -87,7 +68,7 @@ TEST(Cds, EachIterationStrictlyDecreasesCost) {
     EXPECT_LT(alloc.cost(), prev);
     prev = alloc.cost();
   }
-  EXPECT_LE(best_move(alloc).gain, 1e-12);
+  EXPECT_LE(oracle::best_move(alloc).gain, 1e-12);
 }
 
 TEST(Cds, IdempotentAtLocalOptimum) {
@@ -118,8 +99,8 @@ TEST(Cds, FirstImprovementReachesLocalOptimumToo) {
   run_cds(best_alloc, {.policy = CdsPolicy::kBestImprovement});
   run_cds(first_alloc, {.policy = CdsPolicy::kFirstImprovement});
   // Both are local optima of the same neighbourhood.
-  EXPECT_LE(best_move(best_alloc).gain, 1e-12);
-  EXPECT_LE(best_move(first_alloc).gain, 1e-12);
+  EXPECT_LE(oracle::best_move(best_alloc).gain, 1e-12);
+  EXPECT_LE(oracle::best_move(first_alloc).gain, 1e-12);
 }
 
 TEST(Cds, ImprovesAPoorStartSubstantially) {
@@ -150,76 +131,76 @@ TEST(Cds, SingleItemNothingToDo) {
 }
 
 TEST(CdsIndexed, ProducesIdenticalResultToScanEngine) {
-  // The indexed engine must replay the exact same move sequence, ending in
+  // run_cds must replay the exhaustive scan's exact move sequence, ending in
   // the identical assignment — across a spread of shapes.
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const Database db = generate_database({.items = 60 + seed * 15,
                                            .skewness = 0.6 + 0.1 * seed,
                                            .diversity = 2.0, .seed = seed});
     const ChannelId k = static_cast<ChannelId>(3 + seed);
-    Allocation scan = run_drp(db, k).allocation;
-    Allocation indexed = scan;
-    const CdsStats s1 = run_cds(scan, {.engine = CdsEngine::kScan});
-    const CdsStats s2 = run_cds(indexed, {.engine = CdsEngine::kIndexed});
-    EXPECT_EQ(scan.assignment(), indexed.assignment()) << "seed " << seed;
-    EXPECT_EQ(s1.iterations, s2.iterations) << "seed " << seed;
-    EXPECT_DOUBLE_EQ(s1.final_cost, s2.final_cost) << "seed " << seed;
+    oracle::expect_run_cds_matches_oracle(run_drp(db, k).allocation,
+                                          "seed " + std::to_string(seed));
   }
 }
 
-TEST(CdsStatsWork, ScanCountsOneFullScanPerIterationPlusConvergenceCheck) {
+TEST(CdsStatsWork, ReportsTheIndexCounters) {
+  // run_cds's work stats are the candidate index's own counters: the same
+  // descent driven by hand must read the same numbers, exactly.
   const Database db = generate_database({.items = 30, .seed = 41});
-  Allocation alloc = run_drp(db, 4).allocation;
-  const CdsStats stats = run_cds(alloc, {.engine = CdsEngine::kScan});
-  // Best-improvement scans all N·(K−1) moves every iteration, and one final
-  // scan discovers there is nothing left to apply.
-  EXPECT_EQ(stats.moves_evaluated, (stats.iterations + 1) * 30 * (4 - 1));
-  EXPECT_EQ(stats.index_repairs, 0u) << "kScan keeps no cache to repair";
+  Allocation by_run = run_drp(db, 4).allocation;
+  Allocation by_hand = by_run;
+  const CdsStats stats = run_cds(by_run);
+  CandidateIndex index(by_hand);
+  for (;;) {
+    const CdsMove move = index.best_move();
+    if (!(move.gain > CdsOptions{}.min_gain)) break;
+    index.apply(move);
+  }
+  ASSERT_GT(stats.iterations, 0u);
+  EXPECT_EQ(by_run.assignment(), by_hand.assignment());
+  EXPECT_EQ(stats.moves_evaluated, index.moves_evaluated());
+  EXPECT_EQ(stats.index_repairs, index.repairs());
+  EXPECT_GT(stats.index_repairs, 0u);
 }
 
 TEST(CdsStatsWork, IndexedDoesStrictlyLessWorkThanScan) {
-  // Same move sequence, far fewer Δc evaluations — the whole point of the
-  // indexed engine, now directly visible in the stats. Each run pins its
-  // engine through the env override so the comparison survives the CI
-  // index-off job (which exports DBS_CDS_ENGINE=scan suite-wide).
+  // Same move sequence, far fewer Δc evaluations than the paper's scan, which
+  // pays N·(K−1) per applied move plus one final scan.
   const Database db = generate_database({.items = 80, .diversity = 2.0, .seed = 42});
-  Allocation scan(db, 5);
-  Allocation indexed = scan;
-  CdsStats s_scan, s_indexed;
-  {
-    const ScopedEngineEnv env("scan");
-    s_scan = run_cds(scan, {.engine = CdsEngine::kScan});
-  }
-  {
-    const ScopedEngineEnv env("indexed");
-    s_indexed = run_cds(indexed, {.engine = CdsEngine::kIndexed});
-  }
-  ASSERT_GT(s_scan.iterations, 0u);
-  EXPECT_GT(s_indexed.moves_evaluated, 0u);
-  EXPECT_LT(s_indexed.moves_evaluated, s_scan.moves_evaluated);
-  EXPECT_GT(s_indexed.index_repairs, 0u);
+  Allocation alloc(db, 5);
+  const CdsStats stats = run_cds(alloc);
+  ASSERT_GT(stats.iterations, 0u);
+  const std::size_t scan_work =
+      (stats.iterations + 1) * oracle::full_scan_evaluations(alloc);
+  EXPECT_GT(stats.moves_evaluated, 0u);
+  EXPECT_LT(stats.moves_evaluated, scan_work);
+  EXPECT_GT(stats.index_repairs, 0u);
 }
 
 TEST(CdsStatsWork, FirstImprovementStopsScanningEarly) {
   const Database db = generate_database({.items = 50, .diversity = 2.0, .seed = 43});
-  Allocation best(db, 5);
-  Allocation first = best;
-  const CdsStats s_best = run_cds(best, {.policy = CdsPolicy::kBestImprovement});
-  const CdsStats s_first = run_cds(first, {.policy = CdsPolicy::kFirstImprovement});
-  ASSERT_GT(s_first.iterations, 0u);
-  // Per applied move, first-improvement must evaluate no more than the full
-  // scan (it stops at the first improving candidate).
-  EXPECT_LE(s_first.moves_evaluated / (s_first.iterations + 1),
-            s_best.moves_evaluated / (s_best.iterations + 1));
+  Allocation first(db, 5);
+  const CdsStats stats = run_cds(first, {.policy = CdsPolicy::kFirstImprovement});
+  ASSERT_GT(stats.iterations, 0u);
+  EXPECT_EQ(stats.index_repairs, 0u) << "first-improvement keeps no cache";
+  // Per scan, first-improvement evaluates no more than the full N·(K−1) (it
+  // stops at the first improving candidate), and the final scan that finds
+  // nothing to apply reads all of them.
+  const std::size_t full = oracle::full_scan_evaluations(first);
+  EXPECT_GE(stats.moves_evaluated, full);
+  EXPECT_LT(stats.moves_evaluated, (stats.iterations + 1) * full);
 }
 
 TEST(CdsStatsWork, NoMovesMeansOneScanOnly) {
+  // At a local optimum run_cds only builds the index: one pass over the
+  // items, at most one gain each, and nothing to repair.
   const Database db = generate_database({.items = 20, .seed = 44});
   Allocation alloc = run_drp(db, 3).allocation;
   run_cds(alloc);  // reach the local optimum
   const CdsStats stats = run_cds(alloc);
   EXPECT_EQ(stats.iterations, 0u);
-  EXPECT_EQ(stats.moves_evaluated, 20u * (3 - 1));
+  EXPECT_LE(stats.moves_evaluated, 20u);
+  EXPECT_EQ(stats.index_repairs, 0u);
 }
 
 TEST(CdsIndexed, IdenticalFromArbitraryStartsToo) {
@@ -227,17 +208,13 @@ TEST(CdsIndexed, IdenticalFromArbitraryStartsToo) {
   Rng rng(5);
   std::vector<ChannelId> start(db.size());
   for (auto& c : start) c = static_cast<ChannelId>(rng.below(7));
-  Allocation scan(db, 7, start);
-  Allocation indexed = scan;
-  run_cds(scan, {.engine = CdsEngine::kScan});
-  run_cds(indexed, {.engine = CdsEngine::kIndexed});
-  EXPECT_EQ(scan.assignment(), indexed.assignment());
+  oracle::expect_run_cds_matches_oracle(Allocation(db, 7, start), "random start");
 }
 
 TEST(CdsIndexed, SingleChannelNoop) {
   const Database db = generate_database({.items = 10, .seed = 32});
   Allocation alloc(db, 1);
-  const CdsStats stats = run_cds(alloc, {.engine = CdsEngine::kIndexed});
+  const CdsStats stats = run_cds(alloc);
   EXPECT_EQ(stats.iterations, 0u);
   EXPECT_TRUE(stats.converged);
 }
@@ -246,53 +223,23 @@ TEST(CdsIndexed, RespectsIterationBudget) {
   const Database db = generate_database({.items = 120, .diversity = 2.0, .seed = 33});
   Allocation alloc(db, 6);
   CdsOptions capped;
-  capped.engine = CdsEngine::kIndexed;
   capped.max_iterations = 2;
   EXPECT_LE(run_cds(alloc, capped).iterations, 2u);
 }
 
-TEST(CdsEngineEnv, ScanOverrideDisablesTheIndex) {
-  // The CI index-off job relies on this: DBS_CDS_ENGINE=scan must win even
-  // when the caller explicitly asked for the indexed engine. The scan
-  // engine's work signature — one full N·(K−1) sweep per iteration plus the
-  // convergence check, zero cache repairs — is the observable proof.
-  const ScopedEngineEnv env("scan");
-  const Database db = generate_database({.items = 60, .diversity = 2.0, .seed = 51});
-  Allocation alloc(db, 4);
-  const CdsStats stats = run_cds(alloc, {.engine = CdsEngine::kIndexed});
-  ASSERT_GT(stats.iterations, 0u);
-  EXPECT_EQ(stats.moves_evaluated, (stats.iterations + 1) * 60 * (4 - 1));
-  EXPECT_EQ(stats.index_repairs, 0u);
-}
-
-TEST(CdsEngineEnv, IndexedOverrideForcesTheIndexOnSmallRuns) {
-  // Inverse direction: a problem far below kAutoIndexedThreshold, caller
-  // asks for scan, env forces the index — visible as nonzero repairs.
-  const ScopedEngineEnv env("indexed");
-  const Database db = generate_database({.items = 60, .diversity = 2.0, .seed = 51});
-  Allocation alloc(db, 4);
-  const CdsStats stats = run_cds(alloc, {.engine = CdsEngine::kScan});
-  ASSERT_GT(stats.iterations, 0u);
-  EXPECT_GT(stats.index_repairs, 0u);
-}
-
-TEST(CdsEngineEnv, OverrideDoesNotChangeTheResult) {
-  const Database db = generate_database({.items = 70, .diversity = 2.5, .seed = 52});
-  Allocation forced(db, 5);
-  Allocation plain = forced;
-  {
-    const ScopedEngineEnv env("indexed");
-    run_cds(forced, {.engine = CdsEngine::kScan});
+TEST(Cds, StopsOnNanGains) {
+  // The termination tests read !(gain > min_gain), so a NaN on either side
+  // ends the run. A NaN threshold makes every comparison false: the run must
+  // stop at once, where a `gain <= min_gain` test would apply moves until
+  // the iteration cap.
+  const Database db = generate_database({.items = 40, .diversity = 2.0, .seed = 53});
+  for (CdsPolicy policy : {CdsPolicy::kBestImprovement, CdsPolicy::kFirstImprovement}) {
+    Allocation alloc(db, 4);
+    const CdsStats stats = run_cds(
+        alloc, {.policy = policy, .max_iterations = 1000, .min_gain = std::nan("")});
+    EXPECT_EQ(stats.iterations, 0u);
+    EXPECT_TRUE(stats.converged);
   }
-  run_cds(plain, {.engine = CdsEngine::kScan});
-  EXPECT_EQ(forced.assignment(), plain.assignment());
-}
-
-TEST(CdsEngineEnv, RejectsUnknownValues) {
-  const ScopedEngineEnv env("turbo");
-  const Database db = generate_database({.items = 10, .seed = 53});
-  Allocation alloc(db, 2);
-  EXPECT_THROW(run_cds(alloc), ContractViolation);
 }
 
 TEST(Cds, AllocationStaysValidThroughout) {

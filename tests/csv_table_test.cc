@@ -21,7 +21,11 @@ std::string slurp(const std::string& path) {
 
 class CsvTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/dbs_csv_test.csv";
+  // One file per case: ctest runs each case as its own process, in parallel
+  // under -j, so a shared path lets one case read another's rows.
+  std::string path_ = ::testing::TempDir() + "/dbs_csv_" +
+                      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+                      ".csv";
   void TearDown() override { std::remove(path_.c_str()); }
 };
 

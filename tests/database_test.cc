@@ -61,6 +61,17 @@ TEST(Database, RejectsNonFiniteInput) {
                ContractViolation);
 }
 
+TEST(Database, RejectsAggregateOverflow) {
+  // Every value is finite, but the sums are not: Σz overflows, or the raw
+  // frequency total does (which would otherwise normalise every f to 0).
+  EXPECT_THROW(Database({1e308, 1e308, 1e308}, {1.0, 1.0, 1.0}), ContractViolation);
+  EXPECT_THROW(Database({1.0, 1.0}, {1e308, 1e308}), ContractViolation);
+  // Σz finite, but an Eq. 4 gain may reach 4·Σf·Σz.
+  EXPECT_THROW(Database({1e308}, {1.0}), ContractViolation);
+  const Database large({1e300, 1e300}, {1.0, 1.0});
+  EXPECT_DOUBLE_EQ(large.total_size(), 2e300);
+}
+
 TEST(Database, RejectsMismatchedArrays) {
   EXPECT_THROW(Database({1.0, 2.0}, {1.0}), ContractViolation);
 }

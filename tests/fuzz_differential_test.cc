@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "baselines/brute_force.h"
 #include "baselines/ordered_dp.h"
+#include "cds_oracle.h"
 #include "core/cds.h"
 #include "core/drp.h"
 #include "core/partition.h"
@@ -98,7 +100,7 @@ TEST(FuzzDifferential, OrderedDpNeverBeatsBruteForceAndNeverLosesToDrp) {
   }
 }
 
-TEST(FuzzDifferential, CdsEnginesIdenticalOnRandomInstances) {
+TEST(FuzzDifferential, CdsMatchesScanOracleOnRandomInstances) {
   Rng rng(104);
   for (int instance = 0; instance < 20; ++instance) {
     const Database db = random_db(rng, 40);
@@ -106,11 +108,8 @@ TEST(FuzzDifferential, CdsEnginesIdenticalOnRandomInstances) {
         1 + static_cast<ChannelId>(rng.below(std::min<std::size_t>(6, db.size())));
     std::vector<ChannelId> start(db.size());
     for (auto& c : start) c = static_cast<ChannelId>(rng.below(k));
-    Allocation a(db, k, start);
-    Allocation b = a;
-    run_cds(a, {.engine = CdsEngine::kScan});
-    run_cds(b, {.engine = CdsEngine::kIndexed});
-    EXPECT_EQ(a.assignment(), b.assignment()) << "instance " << instance;
+    oracle::expect_run_cds_matches_oracle(Allocation(db, k, start),
+                                          "instance " + std::to_string(instance));
   }
 }
 

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 
+#include "cds_oracle.h"
 #include "core/cds.h"
 #include "core/drp.h"
 #include "core/drp_cds.h"
@@ -87,7 +88,7 @@ TEST(PaperExample, Table4aStartingCostIs24_09) {
 TEST(PaperExample, CdsFirstMoveIsD10ToGroup2WithGain0_95) {
   const Database db = paper_table2_database();
   const Allocation alloc = paper_table4a_allocation(db);
-  const CdsMove move = best_move(alloc);
+  const CdsMove move = oracle::best_move(alloc);
   EXPECT_EQ(move.item, 9u);   // d10
   EXPECT_EQ(move.from, 3u);   // paper group 4
   EXPECT_EQ(move.to, 1u);     // paper group 2
@@ -99,7 +100,7 @@ TEST(PaperExample, CdsSecondMoveIsD12WithGain0_45) {
   Allocation alloc = paper_table4a_allocation(db);
   alloc.move(9, 1);  // apply the first move
   EXPECT_NEAR(alloc.cost(), kPaperCdsAfterFirst, 0.01);
-  const CdsMove move = best_move(alloc);
+  const CdsMove move = oracle::best_move(alloc);
   EXPECT_EQ(move.item, 11u);  // d12
   EXPECT_EQ(move.from, 2u);   // paper group 3
   EXPECT_EQ(move.to, 1u);     // paper group 2
@@ -112,7 +113,7 @@ TEST(PaperExample, CdsReachesLocalOptimum22_29) {
   const CdsStats stats = run_cds(alloc);
   EXPECT_NEAR(alloc.cost(), kPaperCdsFinalCost, 0.01);
   EXPECT_GE(stats.iterations, 2u);
-  EXPECT_LE(best_move(alloc).gain, 1e-12);
+  EXPECT_LE(oracle::best_move(alloc).gain, 1e-12);
 }
 
 TEST(PaperExample, CdsFinalGroupingMatchesTable4d) {

@@ -8,6 +8,7 @@
 #include "baselines/greedy.h"
 #include "baselines/ordered_dp.h"
 #include "baselines/vfk.h"
+#include "cds_oracle.h"
 #include "core/cds.h"
 #include "core/drp.h"
 #include "core/drp_cds.h"
@@ -52,7 +53,7 @@ TEST_P(GridProperty, CdsNeverIncreasesCostAndReachesLocalOptimum) {
   const CdsStats stats = run_cds(alloc);
   EXPECT_LE(alloc.cost(), before + 1e-12);
   EXPECT_TRUE(stats.converged);
-  EXPECT_LE(best_move(alloc).gain, 1e-12);
+  EXPECT_LE(oracle::best_move(alloc).gain, 1e-12);
   std::string error;
   EXPECT_TRUE(alloc.validate(&error)) << error;
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cds_oracle.h"
 #include "core/drp.h"
 #include "core/drp_cds.h"
 #include "workload/generator.h"
@@ -62,7 +63,7 @@ TEST(Swap, DeepSearchEndsDoublyLocallyOptimal) {
   const Database db = generate_database({.items = 60, .diversity = 2.5, .seed = 9});
   Allocation alloc = run_drp(db, 5).allocation;
   run_cds_with_swaps(alloc);
-  EXPECT_LE(best_move(alloc).gain, 1e-12);
+  EXPECT_LE(oracle::best_move(alloc).gain, 1e-12);
   EXPECT_LE(best_swap(alloc).gain, 1e-12);
   std::string error;
   EXPECT_TRUE(alloc.validate(&error)) << error;
