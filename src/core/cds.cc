@@ -1,6 +1,7 @@
 #include "core/cds.h"
 
 #include "core/candidate_index.h"
+#include "core/local_search.h"
 #include "obs/obs.h"
 
 namespace dbs {
@@ -41,33 +42,6 @@ class FirstImprovementScan {
   std::size_t moves_evaluated_ = 0;
 };
 
-/// The CDS loop over either move search. When the iteration budget is
-/// exhausted, one more best_move() is the convergence probe: for the index a
-/// single O(N) pass, not a full N·(K−1) scan.
-/// Both termination tests read `!(gain > min_gain)` so a NaN gain stops the
-/// run instead of being applied forever.
-template <typename Search>
-void drive(Search& search, const CdsOptions& options, CdsStats& stats) {
-  bool deadline_stop = false;
-  while (stats.iterations < options.max_iterations) {
-    if (options.deadline.expired()) {
-      // Cooperative cancellation: stop where we stand, and skip the
-      // convergence probe — the budget no longer covers it.
-      deadline_stop = true;
-      break;
-    }
-    const CdsMove move = search.best_move();
-    if (!(move.gain > options.min_gain)) break;  // local optimum (line 18 of CDS)
-    search.apply(move);
-    ++stats.iterations;
-  }
-  const bool hit_cap = !deadline_stop && stats.iterations >= options.max_iterations;
-  stats.converged =
-      !deadline_stop && (!hit_cap || !(search.best_move().gain > options.min_gain));
-  stats.moves_evaluated = search.moves_evaluated();
-  stats.index_repairs = search.repairs();
-}
-
 }  // namespace
 
 CdsStats run_cds(Allocation& alloc, const CdsOptions& options) {
@@ -77,10 +51,10 @@ CdsStats run_cds(Allocation& alloc, const CdsOptions& options) {
   if (alloc.channels() > 1) {  // one channel leaves no move to make
     if (options.policy == CdsPolicy::kBestImprovement) {
       CandidateIndex index(alloc);
-      drive(index, options, stats);
+      local_search::drive(index, options, stats);
     } else {
       FirstImprovementScan scan(alloc, options.min_gain);
-      drive(scan, options, stats);
+      local_search::drive(scan, options, stats);
     }
   }
   stats.final_cost = alloc.cost();

@@ -1,154 +1,130 @@
 #include "hetero/hetero.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
+#include <span>
 
 #include "common/check.h"
 #include "core/drp.h"
+#include "core/local_search.h"
 
 namespace dbs {
 namespace {
 
-void check_bandwidths(const Allocation& alloc, const std::vector<double>& bandwidths) {
-  DBS_CHECK_MSG(bandwidths.size() == alloc.channels(),
-                "need one bandwidth per channel");
-  for (double b : bandwidths) DBS_CHECK_MSG(b > 0.0, "bandwidths must be positive");
+/// The bandwidth contract of every hetero entry point: one finite, positive
+/// bandwidth per channel, with 4·Σz / min_c b_c finite. With Σf = 1 that
+/// bounds every heterogeneous W and every generalized-Δ gain, as the
+/// Database's 4·Σz check bounds Eq. (4).
+void check_bandwidths(const Database& db, std::size_t channels,
+                      const std::vector<double>& bandwidths) {
+  DBS_CHECK_MSG(bandwidths.size() == channels, "need one bandwidth per channel");
+  DBS_CHECK_MSG(channels >= 1, "need at least one channel");
+  double slowest = bandwidths.front();
+  for (double b : bandwidths) {
+    DBS_CHECK_MSG(std::isfinite(b) && b > 0.0, "bandwidths must be finite and positive");
+    slowest = std::min(slowest, b);
+  }
+  DBS_CHECK_MSG(std::isfinite(4.0 * db.total_size() / slowest),
+                "bandwidth " << slowest << " is too small: 4 * total size / bandwidth "
+                                "overflows, so waiting times and move gains would too");
 }
 
-/// Incremental state for the heterogeneous local search: per-channel
-/// aggregate frequency F, size Z and download sum P = Σ f·z.
-class HeteroSearch {
+/// Per-channel load P_c + F_c·Z_c/2, where P_c = Σ_{x∈c} f_x·z_x is the
+/// download term; W is Σ_c load_c / b_c.
+std::vector<double> channel_loads(const Allocation& alloc) {
+  const Database& db = alloc.database();
+  std::vector<double> load(alloc.channels(), 0.0);
+  for (ItemId id = 0; id < db.size(); ++id) {
+    load[alloc.assignment()[id]] += db.freqs()[id] * db.sizes()[id];
+  }
+  for (ChannelId c = 0; c < alloc.channels(); ++c) {
+    load[c] += alloc.channel_freqs()[c] * alloc.channel_sizes()[c] / 2.0;
+  }
+  return load;
+}
+
+/// The generalized Eq. (4) gain (hetero.h) from the allocation's F and Z
+/// columns, unchecked: callers validate the item, channel and bandwidths.
+double move_gain(const Allocation& alloc, const std::vector<double>& bandwidths,
+                 ItemId item, ChannelId to) {
+  const ChannelId from = alloc.assignment()[item];
+  if (from == to) return 0.0;
+  const double f = alloc.database().freqs()[item];
+  const double z = alloc.database().sizes()[item];
+  const std::span<const double> freq = alloc.channel_freqs();
+  const std::span<const double> size = alloc.channel_sizes();
+  const double fz = f * z;
+  const double lost =
+      ((f * size[from] + z * freq[from] - fz) / 2.0 + fz) / bandwidths[from];
+  const double gained = ((f * size[to] + z * freq[to] + fz) / 2.0 + fz) / bandwidths[to];
+  return lost - gained;
+}
+
+/// schedule_hetero's move search on the shared Eq. (4) driver: the
+/// best-improvement scan over every (item, channel) move, keeping the first
+/// strictly largest generalized Δ in (item, channel) order.
+class HeteroScan {
  public:
-  HeteroSearch(Allocation& alloc, const std::vector<double>& bandwidths)
-      : alloc_(alloc), bandwidths_(bandwidths), freq_(alloc.channels(), 0.0),
-        size_(alloc.channels(), 0.0), download_(alloc.channels(), 0.0) {
-    const Database& db = alloc.database();
-    for (ItemId id = 0; id < db.size(); ++id) {
-      const Item& it = db.item(id);
-      const ChannelId c = alloc.channel_of(id);
-      freq_[c] += it.freq;
-      size_[c] += it.size;
-      download_[c] += it.freq * it.size;
-    }
-  }
+  HeteroScan(Allocation& alloc, const std::vector<double>& bandwidths)
+      : alloc_(alloc), bandwidths_(bandwidths) {}
 
-  double wait() const {
-    double w = 0.0;
-    for (ChannelId c = 0; c < alloc_.channels(); ++c) {
-      w += (freq_[c] * size_[c] / 2.0 + download_[c]) / bandwidths_[c];
-    }
-    return w;
-  }
-
-  /// Generalized Eq. (4) gain of moving `id` to channel `to` (O(1)).
-  double gain(ItemId id, ChannelId to) const {
-    const ChannelId from = alloc_.channel_of(id);
-    if (from == to) return 0.0;
-    const Item& it = alloc_.database().item(id);
-    const double fz = it.freq * it.size;
-    const double lost = ((it.freq * size_[from] + it.size * freq_[from] - fz) / 2.0 +
-                         fz) / bandwidths_[from];
-    const double gained = ((it.freq * size_[to] + it.size * freq_[to] + fz) / 2.0 +
-                           fz) / bandwidths_[to];
-    return lost - gained;
-  }
-
-  void apply(ItemId id, ChannelId to) {
-    const ChannelId from = alloc_.channel_of(id);
-    const Item& it = alloc_.database().item(id);
-    freq_[from] -= it.freq;
-    size_[from] -= it.size;
-    download_[from] -= it.freq * it.size;
-    freq_[to] += it.freq;
-    size_[to] += it.size;
-    download_[to] += it.freq * it.size;
-    alloc_.move(id, to);
-  }
-
-  /// Best-improvement sweep; returns moves applied.
-  std::size_t run(double min_gain = 1e-12) {
-    std::size_t moves = 0;
-    while (true) {
-      ItemId best_item = 0;
-      ChannelId best_to = 0;
-      double best_gain = 0.0;
-      bool have = false;
-      for (ItemId id = 0; id < alloc_.items(); ++id) {
-        for (ChannelId c = 0; c < alloc_.channels(); ++c) {
-          if (c == alloc_.channel_of(id)) continue;
-          const double g = gain(id, c);
-          if (!have || g > best_gain) {
-            have = true;
-            best_gain = g;
-            best_item = id;
-            best_to = c;
-          }
+  CdsMove best_move() {
+    const std::vector<ChannelId>& home = alloc_.assignment();
+    CdsMove best;
+    bool have = false;
+    for (ItemId x = 0; x < alloc_.items(); ++x) {
+      for (ChannelId q = 0; q < alloc_.channels(); ++q) {
+        if (q == home[x]) continue;
+        const double gain = move_gain(alloc_, bandwidths_, x, q);
+        ++moves_evaluated_;
+        if (!have || gain > best.gain) {
+          have = true;
+          best = CdsMove{x, home[x], q, gain};
         }
       }
-      if (!have || best_gain <= min_gain) return moves;
-      apply(best_item, best_to);
-      ++moves;
     }
+    return best;
   }
+
+  void apply(const CdsMove& move) { alloc_.move(move.item, move.to); }
+  std::size_t moves_evaluated() const { return moves_evaluated_; }
+  std::size_t repairs() const { return 0; }
 
  private:
   Allocation& alloc_;
   const std::vector<double>& bandwidths_;
-  std::vector<double> freq_, size_, download_;
+  std::size_t moves_evaluated_ = 0;
 };
 
 }  // namespace
 
 double hetero_wait(const Allocation& alloc, const std::vector<double>& bandwidths) {
-  check_bandwidths(alloc, bandwidths);
-  const Database& db = alloc.database();
-  std::vector<double> download(alloc.channels(), 0.0);
-  for (ItemId id = 0; id < db.size(); ++id) {
-    const Item& it = db.item(id);
-    download[alloc.channel_of(id)] += it.freq * it.size;
-  }
+  check_bandwidths(alloc.database(), alloc.channels(), bandwidths);
+  const std::vector<double> load = channel_loads(alloc);
   double w = 0.0;
-  for (ChannelId c = 0; c < alloc.channels(); ++c) {
-    w += (alloc.freq_of(c) * alloc.size_of(c) / 2.0 + download[c]) / bandwidths[c];
-  }
+  for (ChannelId c = 0; c < alloc.channels(); ++c) w += load[c] / bandwidths[c];
   return w;
 }
 
 double hetero_move_gain(const Allocation& alloc,
                         const std::vector<double>& bandwidths, ItemId item,
                         ChannelId to) {
-  check_bandwidths(alloc, bandwidths);
+  check_bandwidths(alloc.database(), alloc.channels(), bandwidths);
   DBS_CHECK(item < alloc.items());
   DBS_CHECK(to < alloc.channels());
-  const ChannelId from = alloc.channel_of(item);
-  if (from == to) return 0.0;
-  const Item& it = alloc.database().item(item);
-  const double fz = it.freq * it.size;
-  const double lost =
-      ((it.freq * alloc.size_of(from) + it.size * alloc.freq_of(from) - fz) / 2.0 +
-       fz) / bandwidths[from];
-  const double gained =
-      ((it.freq * alloc.size_of(to) + it.size * alloc.freq_of(to) + fz) / 2.0 + fz) /
-      bandwidths[to];
-  return lost - gained;
+  return move_gain(alloc, bandwidths, item, to);
 }
 
 HeteroResult schedule_hetero(const Database& db,
                              const std::vector<double>& bandwidths) {
+  // dbs-lint: contract delegated to check_bandwidths and run_drp
+  check_bandwidths(db, bandwidths.size(), bandwidths);
   const auto k = static_cast<ChannelId>(bandwidths.size());
-  DBS_CHECK_MSG(k >= 1, "need at least one channel");
-  for (double b : bandwidths) DBS_CHECK_MSG(b > 0.0, "bandwidths must be positive");
 
   // Step 1: DRP grouping, then heaviest group -> fastest channel.
   DrpResult drp = run_drp(db, k);
-  std::vector<double> group_load(k, 0.0);  // F·Z/2 + P per DRP channel
-  for (ItemId id = 0; id < db.size(); ++id) {
-    const Item& it = db.item(id);
-    group_load[drp.allocation.channel_of(id)] += it.freq * it.size;
-  }
-  for (ChannelId c = 0; c < k; ++c) {
-    group_load[c] += drp.allocation.freq_of(c) * drp.allocation.size_of(c) / 2.0;
-  }
+  const std::vector<double> group_load = channel_loads(drp.allocation);
 
   std::vector<ChannelId> groups_by_load(k), channels_by_bw(k);
   std::iota(groups_by_load.begin(), groups_by_load.end(), 0);
@@ -166,11 +142,12 @@ HeteroResult schedule_hetero(const Database& db,
   }
   Allocation alloc(db, k, std::move(assignment));
 
-  // Step 2: generalized-Δ local search to a local optimum.
-  HeteroSearch search(alloc, bandwidths);
-  const std::size_t moves = search.run();
-  const double wait = search.wait();
-  return HeteroResult{std::move(alloc), wait, moves};
+  // Step 2: generalized-Δ local search to a local optimum, on CDS's driver.
+  HeteroScan scan(alloc, bandwidths);
+  CdsStats stats;
+  local_search::drive(scan, CdsOptions{}, stats);
+  const double wait = hetero_wait(alloc, bandwidths);
+  return HeteroResult{std::move(alloc), wait, stats.iterations};
 }
 
 }  // namespace dbs

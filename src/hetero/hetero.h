@@ -21,14 +21,16 @@
 namespace dbs {
 
 /// Exact heterogeneous waiting time of an allocation under per-channel
-/// bandwidths. Requires bandwidths.size() == alloc.channels(), all positive.
-/// With all bandwidths equal to b this equals program_waiting_time(alloc, b).
+/// bandwidths. Requires bandwidths.size() == alloc.channels(), every
+/// bandwidth finite and positive, and 4·Σz / min_c b_c finite (which bounds
+/// W and every move gain). With all bandwidths equal to b this equals
+/// program_waiting_time(alloc, b).
 double hetero_wait(const Allocation& alloc, const std::vector<double>& bandwidths);
 
 /// Result of the heterogeneous scheduler.
 struct HeteroResult {
   Allocation allocation;
-  double wait = 0.0;        ///< heterogeneous W of the final allocation
+  double wait = 0.0;        ///< hetero_wait() of the final allocation
   std::size_t moves = 0;    ///< local-search iterations applied
 };
 
@@ -36,7 +38,10 @@ struct HeteroResult {
 ///  1. rough allocation — DRP groups matched to channels by load/bandwidth
 ///     rank (heaviest group → fastest channel);
 ///  2. fine allocation — best-improvement local search on the generalized Δ
-///     above, run to a local optimum.
+///     above, run to a local optimum on core's shared Eq. (4) driver
+///     (core/local_search.h, the loop run_cds uses) with CdsOptions{}
+///     defaults; a NaN gain stops it like a non-improving one.
+/// Same bandwidth contract as hetero_wait(), with K = bandwidths.size().
 HeteroResult schedule_hetero(const Database& db,
                              const std::vector<double>& bandwidths);
 

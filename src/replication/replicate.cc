@@ -129,7 +129,7 @@ ReplicationResult replicate_greedy(const Allocation& alloc, double bandwidth,
         }
       }
     }
-    if (!have || best_delta > -options.min_gain) break;
+    if (!have || !(-best_delta >= options.min_gain)) break;  // NaN stops too
     eval.apply_copy(best_item, best_channel);
     ++result.copies_added;
   }

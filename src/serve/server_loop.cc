@@ -18,7 +18,6 @@ ProgramSnapshot::ProgramSnapshot(Database database, ChannelId channels,
     : db(std::move(database)),
       alloc(db, channels, std::move(assignment)),
       version(version),
-      epoch(version),
       cost(alloc.cost()),
       waiting_time(program_waiting_time(alloc, bandwidth)) {}
 

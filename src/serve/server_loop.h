@@ -155,7 +155,6 @@ struct ProgramSnapshot {
   /// Publication version, strictly monotone across publishes; equals the
   /// epoch that produced the snapshot (version 0 is the initial program).
   const std::size_t version;
-  const std::size_t epoch;       ///< alias of version, kept for reports
   const double cost;             ///< alloc.cost() recorded at build time
   const double waiting_time;     ///< W_b of alloc at the config bandwidth
 };
@@ -197,7 +196,7 @@ class BroadcastServerLoop {
   const Allocation& allocation() const { return snapshot()->alloc; }
 
   const ServerLoopConfig& config() const { return config_; }
-  std::size_t epochs() const { return snapshot()->epoch; }
+  std::size_t epochs() const { return snapshot()->version; }
 
  private:
   Database rebuild_database() const DBS_REQUIRES(mutex_);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/check.h"
 #include "core/drp_cds.h"
 #include "model/cost.h"
@@ -102,6 +104,21 @@ TEST(Hetero, RejectsBadInput) {
   EXPECT_THROW(hetero_wait(alloc, {10.0, 0.0}), ContractViolation);   // zero bw
   EXPECT_THROW(schedule_hetero(db, {}), ContractViolation);
   EXPECT_THROW(schedule_hetero(db, {10.0, -1.0}), ContractViolation);
+}
+
+TEST(Hetero, RejectsBandwidthsWhoseWaitOverflows) {
+  // 4·Σz / 1e-308 overflows: W would be inf and the local search's gains
+  // NaN, so every entry point must refuse these bandwidths up front.
+  const Database db = generate_database({.items = 40, .seed = 10});
+  const std::vector<double> tiny = {1e-308, 1e-308};
+  EXPECT_THROW(schedule_hetero(db, tiny), ContractViolation);
+  const Allocation alloc = run_drp_cds(db, 2).allocation;
+  EXPECT_THROW(hetero_wait(alloc, tiny), ContractViolation);
+  EXPECT_THROW(hetero_move_gain(alloc, tiny, 0, 1), ContractViolation);
+  EXPECT_THROW(hetero_wait(alloc, {10.0, std::numeric_limits<double>::infinity()}),
+               ContractViolation);
+  EXPECT_THROW(hetero_wait(alloc, {10.0, std::numeric_limits<double>::quiet_NaN()}),
+               ContractViolation);
 }
 
 }  // namespace

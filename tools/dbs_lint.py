@@ -23,6 +23,12 @@ Enforces project invariants that clang-tidy cannot express:
                      std::random_device or read wall-clock `time(` — all
                      randomness flows through the seeded dbs::Rng layer so
                      every experiment replays bit-for-bit.
+  nan-unsafe-termination
+                     In src/, a loop's stop test against `min_gain` must
+                     also stop on NaN: `x <= min_gain` and
+                     `x > -min_gain` are false for a NaN x, so a search
+                     whose gains turned NaN would apply moves forever.
+                     Write `!(x > min_gain)` / `!(-x >= min_gain)` instead.
   detail-isolation   tests/ and bench/ must not name `detail::` symbols;
                      the detail namespaces are internal and not part of the
                      tested surface.
@@ -210,6 +216,33 @@ def rule_determinism(path: Path, stripped: str, lines, findings):
                 Finding("determinism", path, ln,
                         f"{what} breaks replayability; draw from dbs::Rng "
                         "(src/common/rng.h) instead"))
+
+
+# --------------------------------------------------------------------------
+# Rule: nan-unsafe-termination
+# --------------------------------------------------------------------------
+
+# The operand after the comparison: identifiers, member access, arithmetic
+# and spaces only, so the match cannot run past a `)`, `;`, `&&` or `?` into
+# another expression.
+_OPERAND = r"(?:[\w.\s*/+-]|->|::)*?\bmin_gain\b"
+NAN_UNSAFE_RES = (
+    (re.compile(r"(?<!<)<=(?!>)\s*" + _OPERAND), "`<= min_gain`"),
+    (re.compile(r"(?<![->])>\s*-\s*" + _OPERAND), "`> -min_gain`"),
+)
+
+
+def rule_nan_unsafe_termination(path: Path, stripped: str, lines, findings):
+    for regex, what in NAN_UNSAFE_RES:
+        for m in regex.finditer(stripped):
+            ln = line_of(stripped, m.start())
+            if suppressed(lines, ln, "nan-unsafe-termination"):
+                continue
+            findings.append(
+                Finding("nan-unsafe-termination", path, ln,
+                        f"stop test {what} is false on a NaN gain, so the "
+                        "loop never stops; negate the improving test instead, "
+                        "e.g. `!(gain > min_gain)`"))
 
 
 # --------------------------------------------------------------------------
@@ -504,6 +537,7 @@ def lint_file(path: Path, rel: Path, findings):
     rule_guarded_by_audit(path, rel, text, stripped, lines, findings)
     if top in SRC_DIRS:
         rule_determinism(path, stripped, lines, findings)
+        rule_nan_unsafe_termination(path, stripped, lines, findings)
         rule_contract_audit(path, text, stripped, lines, findings)
         if rel.parts[:2] in API_DOC_DIRS and path.suffix == ".h":
             rule_api_docs(path, stripped, lines, findings)
