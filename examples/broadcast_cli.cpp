@@ -13,12 +13,18 @@
 //       waiting-time-optimal K
 //
 // Run with no arguments for this usage text.
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <map>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "api/planner.h"
 #include "api/scheduler.h"
@@ -60,6 +66,28 @@ std::string flag_or(const std::map<std::string, std::string>& flags,
   return it == flags.end() ? fallback : it->second;
 }
 
+/// Parses the whole of `text`, the value of --`flag`, as a T. Rejects
+/// trailing junk, values outside T's range (a minus sign on an unsigned T
+/// included) and, for floating point, inf and NaN. The error names the flag
+/// and the value.
+template <typename T>
+T parse_number(const std::string& flag, const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  bool ok = error == std::errc() && stop == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    std::string expected = "a finite number";
+    if constexpr (std::is_integral_v<T>) {
+      expected =
+          "an integer in [0, " + std::to_string(std::numeric_limits<T>::max()) + "]";
+    }
+    throw std::runtime_error("--" + flag + " " + text + ": expected " + expected);
+  }
+  return value;
+}
+
 int cmd_algorithms() {
   for (const AlgorithmInfo& info : all_algorithms()) {
     std::printf("%-14s %s%s\n", std::string(info.name).c_str(),
@@ -71,10 +99,10 @@ int cmd_algorithms() {
 
 int cmd_generate(const std::map<std::string, std::string>& flags) {
   WorkloadConfig config;
-  config.items = std::stoul(flag_or(flags, "items", "120"));
-  config.skewness = std::stod(flag_or(flags, "theta", "0.8"));
-  config.diversity = std::stod(flag_or(flags, "phi", "2.0"));
-  config.seed = std::stoull(flag_or(flags, "seed", "1"));
+  config.items = parse_number<std::size_t>("items", flag_or(flags, "items", "120"));
+  config.skewness = parse_number<double>("theta", flag_or(flags, "theta", "0.8"));
+  config.diversity = parse_number<double>("phi", flag_or(flags, "phi", "2.0"));
+  config.seed = parse_number<std::uint64_t>("seed", flag_or(flags, "seed", "1"));
   const Database db = generate_database(config);
   const Catalog catalog{db, std::vector<std::string>(db.size())};
   store_catalog(std::cout, catalog);
@@ -91,8 +119,9 @@ int cmd_schedule(const std::map<std::string, std::string>& flags) {
   const Catalog catalog = load_catalog_file(catalog_path->second);
 
   ScheduleRequest request;
-  request.channels = static_cast<ChannelId>(std::stoul(channels_flag->second));
-  request.bandwidth = std::stod(flag_or(flags, "bandwidth", "10"));
+  request.channels = parse_number<ChannelId>("channels", channels_flag->second);
+  request.bandwidth =
+      parse_number<double>("bandwidth", flag_or(flags, "bandwidth", "10"));
   const std::string algo_name = flag_or(flags, "algorithm", "drp-cds");
   const auto algorithm = algorithm_from_name(algo_name);
   if (!algorithm.has_value()) {
@@ -116,7 +145,8 @@ int cmd_schedule(const std::map<std::string, std::string>& flags) {
     }
   }
 
-  const std::size_t requests = std::stoul(flag_or(flags, "simulate", "0"));
+  const auto requests =
+      parse_number<std::size_t>("simulate", flag_or(flags, "simulate", "0"));
   if (requests > 0) {
     const BroadcastProgram program(result.allocation, request.bandwidth);
     const auto trace = generate_trace(catalog.database,
@@ -139,9 +169,9 @@ int cmd_plan(const std::map<std::string, std::string>& flags) {
     return 2;
   }
   const Catalog catalog = load_catalog_file(catalog_path->second);
-  const double budget = std::stod(budget_flag->second);
+  const auto budget = parse_number<double>("total-bandwidth", budget_flag->second);
   const auto max_channels =
-      static_cast<ChannelId>(std::stoul(flag_or(flags, "max-channels", "10")));
+      parse_number<ChannelId>("max-channels", flag_or(flags, "max-channels", "10"));
 
   const PlanResult plan =
       plan_channel_count(catalog.database, budget, max_channels);

@@ -4,6 +4,7 @@
 #include <optional>
 
 #include "common/check.h"
+#include "model/cost.h"
 #include "obs/obs.h"
 
 namespace dbs {
@@ -11,7 +12,6 @@ namespace dbs {
 PlanResult plan_channel_count(const Database& db, double total_bandwidth,
                               ChannelId max_channels, Algorithm algorithm) {
   DBS_OBS_SPAN("api.planner.plan");
-  DBS_CHECK(total_bandwidth > 0.0);
   DBS_CHECK(max_channels >= 1);
   // Matches schedule()'s contract, and guarantees the sweep below runs at
   // least once — without it an empty catalogue would fall through to a
@@ -21,6 +21,9 @@ PlanResult plan_channel_count(const Database& db, double total_bandwidth,
   // truncate a huge catalogue to a smaller limit (or even to zero).
   const auto limit =
       static_cast<ChannelId>(std::min<std::size_t>(max_channels, db.size()));
+  // The sweep's smallest per-channel bandwidth is at K = limit; 4·Σz / b
+  // falls as b grows, so this one check covers every K.
+  check_bandwidth(db, total_bandwidth / static_cast<double>(limit));
 
   std::optional<ScheduleResult> best;
   ChannelId best_k = 1;

@@ -33,7 +33,8 @@ struct PlanResult {
 /// `algorithm` at per-channel bandwidth total_bandwidth/K, and returns the
 /// K minimizing W_b.
 /// `db` must be a validated non-empty catalogue (DBS_CHECKed, matching
-/// schedule()); requires total_bandwidth > 0 and max_channels ≥ 1. On equal
+/// schedule()); requires max_channels ≥ 1 and total_bandwidth / K to pass
+/// check_bandwidth (model/cost.h) at the largest K tried. On equal
 /// waiting times the smallest K wins deterministically (the comparison is
 /// strict, so later K never displaces an equal earlier one). The returned
 /// sweep holds one PlanPoint per evaluated K so callers can plot the full

@@ -1,5 +1,6 @@
 // Budgeted optimizer portfolio (ROADMAP item 3, DESIGN.md §13): the "best
-// answer by a deadline" entry point the online service escalates to.
+// answer by a deadline" entry point, reached directly or through
+// schedule()'s Algorithm::kPortfolio.
 //
 // plan() races three complementary planners on the shared worker pool
 // (common/parallel.h):

@@ -1,5 +1,6 @@
 #include "api/scheduler.h"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "api/portfolio.h"
@@ -54,8 +55,8 @@ std::string_view algorithm_name(Algorithm algorithm) {
 
 ScheduleResult schedule(const Database& db, const ScheduleRequest& request) {
   DBS_CHECK_MSG(request.channels >= 1, "schedule() needs at least one channel");
-  DBS_CHECK_MSG(request.bandwidth > 0.0, "schedule() needs positive bandwidth");
   DBS_CHECK_MSG(db.size() > 0, "schedule() needs a non-empty catalogue");
+  check_bandwidth(db, request.bandwidth);
   Stopwatch watch;
   std::optional<Allocation> alloc;
 
@@ -105,6 +106,9 @@ ScheduleResult schedule(const Database& db, const ScheduleRequest& request) {
   ScheduleResult result{std::move(*alloc), 0.0, 0.0, 0.0};
   result.cost = result.allocation.cost();
   result.waiting_time = program_waiting_time(result.allocation, request.bandwidth);
+  DBS_CHECK_MSG(std::isfinite(result.cost) && std::isfinite(result.waiting_time),
+                "schedule() produced cost " << result.cost << " and waiting time "
+                                            << result.waiting_time);
   // Convention (docs/BENCHMARKING.md): elapsed_ms covers the whole call —
   // algorithm plus metric evaluation — so it matches what any external
   // stopwatch around schedule() measures.

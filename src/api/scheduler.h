@@ -87,10 +87,11 @@ struct ScheduleResult {
 /// \brief Runs the requested algorithm on `db` and returns the allocation
 /// with its headline metrics.
 /// `db` must be a validated non-empty catalogue; `request` selects the
-/// algorithm, channel count (1 ≤ K ≤ N), bandwidth (> 0) and per-algorithm
-/// tuning knobs. Throws ContractViolation on invalid input (e.g. K > N) and
-/// std::runtime_error if BruteForce exceeds its node budget. Stateless and
-/// safe to call from several threads on the same `db` concurrently.
+/// algorithm, channel count (1 ≤ K ≤ N), bandwidth (passing check_bandwidth,
+/// model/cost.h) and per-algorithm tuning knobs. Throws ContractViolation on
+/// invalid input (e.g. K > N) and std::runtime_error if BruteForce exceeds
+/// its node budget. Stateless and safe to call from several threads on the
+/// same `db` concurrently.
 ScheduleResult schedule(const Database& db, const ScheduleRequest& request);
 
 }  // namespace dbs

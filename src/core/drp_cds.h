@@ -31,22 +31,4 @@ struct DrpCdsResult {
 DrpCdsResult run_drp_cds(const Database& db, ChannelId channels,
                          const DrpCdsOptions& options = {});
 
-/// Outcome of repairing a carried-over assignment against a database.
-struct RepairResult {
-  Allocation allocation;
-  double initial_cost = 0.0;  ///< cost of the seed assignment on `db`
-  double final_cost = 0.0;    ///< cost after the CDS repair
-  CdsStats cds;
-};
-
-/// \brief The incremental-repair entry point (ROADMAP item 2): rebinds an
-/// existing assignment to `db` — typically the previous epoch's program on a
-/// freshly re-estimated database — and runs CDS moves from there instead of
-/// a full DRP rebuild. Same local-search guarantees as run_cds; the work is
-/// a handful of moves when the seed is already near a local optimum.
-/// Requires assignment.size() == db.size() and every entry < channels.
-RepairResult repair_assignment(const Database& db, ChannelId channels,
-                               std::vector<ChannelId> assignment,
-                               const CdsOptions& options = {});
-
 }  // namespace dbs

@@ -1,8 +1,18 @@
 #include "model/cost.h"
 
+#include <cmath>
+
 #include "common/check.h"
 
 namespace dbs {
+
+void check_bandwidth(const Database& db, double bandwidth) {
+  DBS_CHECK_MSG(std::isfinite(bandwidth) && bandwidth > 0.0,
+                "bandwidth " << bandwidth << " must be finite and positive");
+  DBS_CHECK_MSG(std::isfinite(4.0 * db.total_size() / bandwidth),
+                "bandwidth " << bandwidth << " is too small: 4 * total size / bandwidth "
+                                "overflows, so waiting times and move gains would too");
+}
 
 double item_waiting_time(const Allocation& alloc, ItemId id, double bandwidth) {
   DBS_CHECK(bandwidth > 0.0);

@@ -13,6 +13,12 @@ inline double group_cost(double aggregate_freq, double aggregate_size) {
   return aggregate_freq * aggregate_size;
 }
 
+/// \brief The bandwidth contract of every waiting-time entry point: `bandwidth`
+/// is finite and > 0, and 4·Σz / bandwidth is finite. With Σf = 1 that bounds
+/// every W (Eq. 1 and 2) and every heterogeneous move gain, as the Database's
+/// 4·Σz check bounds Eq. 4. Throws ContractViolation otherwise.
+void check_bandwidth(const Database& db, double bandwidth);
+
 /// \brief Waiting time of item `id` on its assigned channel (Eq. 1):
 ///   W_j = Z_i / (2b) + z_j / b
 /// i.e. expected probe time (half the broadcast cycle) plus download time.

@@ -4,9 +4,10 @@
 #include <memory>
 #include <utility>
 
-#include "api/portfolio.h"
 #include "common/check.h"
 #include "common/stopwatch.h"
+#include "core/cds.h"
+#include "core/drp_cds.h"
 #include "model/cost.h"
 #include "obs/obs.h"
 
@@ -25,16 +26,16 @@ BroadcastServerLoop::BroadcastServerLoop(std::vector<double> item_sizes,
                                          const ServerLoopConfig& config)
     : config_(config), sizes_(std::move(item_sizes)),
       tracker_(sizes_.size(), config.tracker_decay, config.tracker_alpha) {
-  DBS_CHECK(config.bandwidth > 0.0);
   DBS_CHECK(config.rebuild_threshold >= 0.0);
   DBS_CHECK(config.escalate_threshold >= 0.0);
-  DBS_CHECK(config.escalation_deadline_ms >= 0.0);
   DBS_CHECK_MSG(config.reference_decay >= 0.0 && config.reference_decay <= 1.0,
                 "reference_decay must lie in [0, 1]");
   DBS_CHECK_MSG(config.channels <= sizes_.size(),
                 "cannot fill more channels than items");
   const MutexLock lock(mutex_);
   Database initial = rebuild_database();
+  // The sizes never change, so this one check covers every epoch's program.
+  check_bandwidth(initial, config_.bandwidth);
   DrpCdsResult planned = run_drp_cds(initial, config_.channels);
   reference_cost_ = planned.final_cost;
   publish(std::make_shared<const ProgramSnapshot>(
@@ -64,22 +65,23 @@ EpochReport BroadcastServerLoop::observe_window(const std::vector<Request>& wind
   // Repair: carry the on-air assignment into the new popularity estimate and
   // let CDS fix it up from where it stands — the steady-state cheap path.
   Stopwatch repair_watch;
-  RepairResult repaired = [&] {
+  auto [program, repair] = [&] {
     DBS_OBS_SPAN("serve.epoch.repair");
-    return repair_assignment(fresh, config_.channels,
-                             current->alloc.assignment());
+    Allocation carried(fresh, config_.channels, current->alloc.assignment());
+    const CdsStats stats = run_cds(carried);
+    return std::pair{std::move(carried), stats};
   }();
   const double repair_ms = repair_watch.millis();
 
+  ++epoch_;
   EpochReport report;
-  report.epoch = ++epoch_;
   report.requests = window.size();
-  report.repaired_cost = repaired.final_cost;
-  report.repair_moves = repaired.cds.iterations;
+  report.repaired_cost = repair.final_cost;
+  report.repair_moves = repair.iterations;
   report.repair_ms = repair_ms;
   report.estimator_staleness = tracker_.effective_windows();
   report.reference_cost = reference_cost_;
-  report.cost_excess = repaired.final_cost / reference_cost_ - 1.0;
+  report.cost_excess = repair.final_cost / reference_cost_ - 1.0;
 
   // Trigger evaluation (DESIGN.md §12). The stall band opens at half the
   // regression margin: a zero-move repair with the cost parked there is
@@ -88,50 +90,39 @@ EpochReport BroadcastServerLoop::observe_window(const std::vector<Request>& wind
   const bool elevated = report.cost_excess >= config_.escalate_threshold;
   const bool in_stall_band =
       report.cost_excess >= 0.5 * config_.escalate_threshold;
-  if (in_stall_band && repaired.cds.iterations == 0) {
+  if (in_stall_band && repair.iterations == 0) {
     ++stall_streak_;
   } else {
     stall_streak_ = 0;
   }
   report.stall_streak = stall_streak_;
 
-  if (!config_.never_escalate) {
-    if (elevated) {
-      report.escalation_reason = EscalationReason::kCostRegression;
-    } else if (config_.stall_epochs > 0 && stall_streak_ >= config_.stall_epochs) {
-      report.escalation_reason = EscalationReason::kRepairStalled;
-    }
+  if (elevated) {
+    report.escalation_reason = EscalationReason::kCostRegression;
+  } else if (config_.stall_epochs > 0 && stall_streak_ >= config_.stall_epochs) {
+    report.escalation_reason = EscalationReason::kRepairStalled;
   }
   report.escalated = report.escalation_reason != EscalationReason::kNone;
 
-  double chosen_cost = repaired.final_cost;
+  double chosen_cost = repair.final_cost;
   if (report.escalated) {
     Stopwatch rebuild_watch;
-    // The escalation path (DESIGN.md §13): with a configured budget the
-    // rebuild is the portfolio race — never worse than DRP-CDS alone and
-    // bounded in wall time — otherwise the classic unbudgeted DRP-CDS.
-    auto [rebuilt_allocation, rebuilt_cost] = [&]() -> std::pair<Allocation, double> {
+    DrpCdsResult rebuilt = [&] {
       DBS_OBS_SPAN("serve.epoch.rebuild");
-      if (config_.escalation_deadline_ms > 0.0) {
-        PortfolioResult raced =
-            plan(fresh, config_.channels, config_.escalation_deadline_ms);
-        return {std::move(raced.allocation), raced.cost};
-      }
-      DrpCdsResult rebuilt = run_drp_cds(fresh, config_.channels);
-      return {std::move(rebuilt.allocation), rebuilt.final_cost};
+      return run_drp_cds(fresh, config_.channels);
     }();
     report.rebuild_ms = rebuild_watch.millis();
-    report.rebuilt_cost = rebuilt_cost;
+    report.rebuilt_cost = rebuilt.final_cost;
     report.adopted_rebuild =
-        rebuilt_cost < repaired.final_cost * (1.0 - config_.rebuild_threshold);
+        rebuilt.final_cost < repair.final_cost * (1.0 - config_.rebuild_threshold);
     if (report.adopted_rebuild) {
-      repaired.allocation = std::move(rebuilt_allocation);
-      chosen_cost = rebuilt_cost;
+      program = std::move(rebuilt.allocation);
+      chosen_cost = rebuilt.final_cost;
     }
     // Whether adopted or not, the escalation measured the truly achievable
     // cost on this estimate: resetting the reference to it stops the trigger
     // from re-firing every epoch after drift genuinely raised the optimum.
-    reference_cost_ = std::min(repaired.final_cost, rebuilt_cost);
+    reference_cost_ = std::min(repair.final_cost, rebuilt.final_cost);
     stall_streak_ = 0;
   } else if (chosen_cost < reference_cost_) {
     reference_cost_ = chosen_cost;  // new best-known
@@ -165,12 +156,11 @@ EpochReport BroadcastServerLoop::observe_window(const std::vector<Request>& wind
   // the snapshot owns its own Database copy, so readers holding the old
   // version keep a consistent db+alloc pair while new readers see this one.
   auto next = std::make_shared<const ProgramSnapshot>(
-      std::move(fresh), config_.channels, repaired.allocation.assignment(),
-      epoch_, config_.bandwidth);
+      std::move(fresh), config_.channels, program.assignment(), epoch_,
+      config_.bandwidth);
   report.version = next->version;
   report.waiting_time = next->waiting_time;
   publish(std::move(next));
-  report.metrics = obs::MetricsRegistry::global().snapshot();
   return report;
 }
 

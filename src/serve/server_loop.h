@@ -8,14 +8,17 @@
 // Each epoch:
 //   1. fold the observed request window into the DecayedFrequencyTracker
 //      (decayed raw counts, Laplace smoothing) and re-derive the database;
-//   2. repair the carried-over assignment with CDS moves from where it is
-//      (core/drp_cds.h repair_assignment) — the cheap steady-state path;
+//   2. rebind the carried-over assignment to the new database and repair it
+//      with CDS moves from where it stands (core/cds.h run_cds) — the cheap
+//      steady-state path;
 //   3. compare the repaired cost against a decayed best-known reference
 //      cost; only when the excess crosses the regression trigger, or repair
 //      stalls while elevated for `stall_epochs` in a row, run the full
 //      DRP-CDS rebuild and adopt it if it beats the repair by
 //      `rebuild_threshold` — so steady-state epochs never pay for a rebuild;
 //   4. publish the chosen program as a fresh immutable versioned snapshot.
+// Metrics go to the process-global registry (obs/metrics.h); a caller that
+// wants them snapshots the registry itself.
 //
 // Concurrency model (DESIGN.md §11): the estimator and control-loop state
 // are guarded by a single writer mutex (compiler-checked via the
@@ -24,11 +27,12 @@
 // publish mutex that is only ever held for the O(1) shared_ptr copy/swap —
 // the RCU-style hand-off of ROADMAP item 2. Readers copy the snapshot
 // pointer in that micro critical section and keep the snapshot alive for as
-// long as they hold the shared_ptr; the epoch's actual work (estimation,
-// repair, rebuild) runs entirely outside the publish mutex, so a concurrent
-// observe_window() never blocks readers on computation and never mutates a
-// snapshot they can see. Snapshot versions are strictly monotone across
-// publishes. (A std::atomic<std::shared_ptr> would make the read truly
+// long as they hold the shared_ptr. snapshot() is the only read path, so no
+// caller holds a reference that a later epoch frees. The epoch's actual
+// work (estimation, repair, rebuild) runs entirely outside the publish
+// mutex, so a concurrent observe_window() never blocks readers on
+// computation and never mutates a snapshot they can see. Snapshot versions
+// are strictly monotone across publishes. (A std::atomic<std::shared_ptr> would make the read truly
 // lock-free, but libstdc++'s _Sp_atomic spinlock predates its TSan
 // annotations on the oldest toolchain this repo supports, so the annotated
 // Mutex slot is the contract the sanitizers and -Wthread-safety can check.)
@@ -39,10 +43,8 @@
 #include <vector>
 
 #include "common/sync.h"
-#include "core/drp_cds.h"
 #include "model/allocation.h"
 #include "model/database.h"
-#include "obs/metrics.h"
 #include "workload/estimate.h"
 #include "workload/trace.h"
 
@@ -51,7 +53,7 @@ namespace dbs {
 /// Server-loop configuration.
 struct ServerLoopConfig {
   ChannelId channels = 6;
-  double bandwidth = 10.0;
+  double bandwidth = 10.0;         ///< finite, > 0, with 4·Σz / bandwidth finite
   double tracker_decay = 0.5;      ///< per-window count decay ρ, in (0, 1]
   double tracker_alpha = 1.0;      ///< Laplace smoothing mass per item
   double rebuild_threshold = 0.01; ///< adopt a rebuild if ≥1% better than repair
@@ -63,23 +65,13 @@ struct ServerLoopConfig {
   double escalate_threshold = 0.05;
   /// Stall trigger: escalate when repair applies zero moves while the cost
   /// sits in the elevated band (≥ half the regression margin above the
-  /// reference) for this many consecutive epochs. 0 disables the trigger.
+  /// reference) for this many consecutive epochs. 0 disables the trigger;
+  /// with escalate_threshold = +inf as well, the loop is repair-only.
   std::size_t stall_epochs = 4;
   /// How fast the best-known reference forgets: when the chosen cost lands
   /// above the reference without escalating, the reference relaxes toward it
   /// with this weight, so genuine slow drift stops reading as regression.
   double reference_decay = 0.05;
-  /// Pins the service to repair-only operation: no epoch ever runs the full
-  /// DRP-CDS rebuild, whatever the triggers say.
-  bool never_escalate = false;
-
-  /// Budget for an escalated re-plan, in milliseconds. 0 (the default)
-  /// keeps the classic unbudgeted DRP-CDS rebuild; > 0 races the optimizer
-  /// portfolio (api/portfolio.h: DRP-CDS, KK-CDS, deadline-capped GOPT)
-  /// under this deadline and adopts its winner instead — so even a forced
-  /// rebuild epoch has a bounded worst-case wall time, and the rebuild
-  /// quality is never worse than DRP-CDS alone would have delivered.
-  double escalation_deadline_ms = 0.0;
 };
 
 /// Why an epoch escalated to a full DRP-CDS rebuild.
@@ -91,7 +83,6 @@ enum class EscalationReason {
 
 /// Per-epoch record.
 struct EpochReport {
-  std::size_t epoch = 0;
   std::size_t requests = 0;
   double repaired_cost = 0.0;   ///< after CDS repair of the carried program
   std::size_t repair_moves = 0;
@@ -119,18 +110,14 @@ struct EpochReport {
   /// remember (DecayedFrequencyTracker::effective_windows).
   double estimator_staleness = 0.0;
 
-  /// Version of the snapshot this epoch published (strictly monotone).
+  /// Version of the snapshot this epoch published: the epoch number, so
+  /// strictly monotone.
   std::size_t version = 0;
 
   /// Wall time of the CDS repair step (Stopwatch, milliseconds).
   double repair_ms = 0.0;
   /// Wall time of the DRP-CDS rebuild (0 when the epoch did not escalate).
   double rebuild_ms = 0.0;
-
-  /// Snapshot of the process-global metrics registry taken at the end of the
-  /// epoch, so operators see cumulative per-decision telemetry (CDS moves,
-  /// DRP splits, ...) next to the epoch's costs. Empty when DBS_OBS=OFF.
-  obs::MetricsSnapshot metrics;
 };
 
 /// Immutable program version: the database the program was planned against,
@@ -167,7 +154,9 @@ struct ProgramSnapshot {
 class BroadcastServerLoop {
  public:
   /// Starts from a uniform popularity estimate over the given item sizes and
-  /// an initial DRP-CDS program (published as snapshot version 0).
+  /// an initial DRP-CDS program (published as snapshot version 0). Throws
+  /// ContractViolation on a bad config, including a bandwidth that fails
+  /// check_bandwidth for these sizes.
   BroadcastServerLoop(std::vector<double> item_sizes, const ServerLoopConfig& config);
 
   /// Feeds one observed request window; returns what the server did. Takes
@@ -186,17 +175,7 @@ class BroadcastServerLoop {
     return published_;
   }
 
-  /// The database under the current popularity estimate. Single-threaded
-  /// convenience accessor: the reference is only stable until the next
-  /// observe_window() — concurrent readers must use snapshot() instead.
-  const Database& database() const { return snapshot()->db; }
-
-  /// The allocation currently on air (valid for database()). Same lifetime
-  /// caveat as database(): concurrent readers use snapshot().
-  const Allocation& allocation() const { return snapshot()->alloc; }
-
   const ServerLoopConfig& config() const { return config_; }
-  std::size_t epochs() const { return snapshot()->version; }
 
  private:
   Database rebuild_database() const DBS_REQUIRES(mutex_);

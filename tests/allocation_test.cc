@@ -128,6 +128,32 @@ TEST(Allocation, IncrementalCostStaysExactOverManyMoves) {
   EXPECT_TRUE(alloc.validate(&error)) << error;
 }
 
+TEST(Allocation, IncrementalColumnsMatchFreshSumsAfterAMillionMoves) {
+  // move() keeps F and Z by += and -=, never re-summing. This bounds the
+  // rounding drift that accumulates at catalogue scale, which is why the
+  // columns need no periodic re-sum.
+  constexpr ChannelId kChannels = 10;
+  for (double diversity : {2.0, 4.0}) {
+    const Database db =
+        generate_database({.items = 2000, .diversity = diversity, .seed = 5});
+    Allocation alloc(db, kChannels);
+    Rng rng(6);
+    for (int step = 0; step < 1'000'000; ++step) {
+      alloc.move(static_cast<ItemId>(rng.below(db.size())),
+                 static_cast<ChannelId>(rng.below(kChannels)));
+    }
+    const Allocation fresh(db, kChannels, alloc.assignment());
+    for (ChannelId c = 0; c < kChannels; ++c) {
+      EXPECT_NEAR(alloc.channel_freqs()[c], fresh.channel_freqs()[c],
+                  1e-12 * fresh.channel_freqs()[c])
+          << "phi=" << diversity << " channel " << c;
+      EXPECT_NEAR(alloc.channel_sizes()[c], fresh.channel_sizes()[c],
+                  1e-12 * fresh.channel_sizes()[c])
+          << "phi=" << diversity << " channel " << c;
+    }
+  }
+}
+
 }  // namespace
 
 // Test-only peer declared as a friend in allocation.h: corrupts internal

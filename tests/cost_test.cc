@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/check.h"
 #include "workload/generator.h"
 
@@ -109,6 +111,22 @@ TEST(Cost, RejectsNonPositiveBandwidth) {
   const Allocation alloc(db, 1);
   EXPECT_THROW(program_waiting_time(alloc, 0.0), ContractViolation);
   EXPECT_THROW(item_waiting_time(alloc, 0, -1.0), ContractViolation);
+}
+
+TEST(Cost, CheckBandwidthRejectsWaitsThatOverflow) {
+  // 4·Σz = 2.4e301 is finite, so the catalogue is valid, but any bandwidth
+  // below about 1.3e-7 makes 4·Σz / b, and with it W, overflow.
+  const Database db({1e300, 2e300, 3e300}, {1.0, 1.0, 1.0});
+  EXPECT_NO_THROW(check_bandwidth(db, 1.0));
+  EXPECT_NO_THROW(check_bandwidth(db, 2e-7));
+  EXPECT_THROW(check_bandwidth(db, 1e-7), ContractViolation);
+  EXPECT_THROW(check_bandwidth(db, 1e-10), ContractViolation);
+  EXPECT_THROW(check_bandwidth(db, 0.0), ContractViolation);
+  EXPECT_THROW(check_bandwidth(db, -1.0), ContractViolation);
+  EXPECT_THROW(check_bandwidth(db, std::numeric_limits<double>::infinity()),
+               ContractViolation);
+  EXPECT_THROW(check_bandwidth(db, std::numeric_limits<double>::quiet_NaN()),
+               ContractViolation);
 }
 
 }  // namespace

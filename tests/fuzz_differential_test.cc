@@ -57,7 +57,7 @@ TEST(FuzzDifferential, BestSplitAgreesWithQuadraticReference) {
   Rng rng(102);
   for (int instance = 0; instance < 40; ++instance) {
     const Database db = random_db(rng);
-    const auto order = db.ids_by_benefit_ratio_desc();
+    const auto order = db.benefit_order();
     const PrefixSums sums(db, order);
     const std::size_t n = order.size();
     const SplitResult fast = best_split(sums, 0, n);

@@ -66,6 +66,11 @@ TEST(Planner, RejectsBadInput) {
   const Database db = generate_database({.items = 4, .seed = 5});
   EXPECT_THROW(plan_channel_count(db, 0.0, 4), ContractViolation);
   EXPECT_THROW(plan_channel_count(db, 10.0, 0), ContractViolation);
+  // Every K's waiting time overflows at this budget.
+  const Database huge({1e300, 2e300, 3e300}, {1.0, 1.0, 1.0});
+  EXPECT_THROW(plan_channel_count(huge, 1e-10, 2), ContractViolation);
+  // K = 1 gets a finite W at b = 2e-7, but K = 2's b = 1e-7 overflows.
+  EXPECT_THROW(plan_channel_count(huge, 2e-7, 2), ContractViolation);
 }
 
 TEST(Planner, TiesBreakTowardFewestChannels) {

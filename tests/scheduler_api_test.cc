@@ -119,6 +119,14 @@ TEST(Schedule, PropagatesContractViolations) {
   EXPECT_THROW(schedule(db, request), ContractViolation);
 }
 
+TEST(Schedule, RejectsBandwidthWhoseWaitOverflows) {
+  const Database db({1e300, 2e300, 3e300}, {1.0, 1.0, 1.0});
+  ScheduleRequest request;
+  request.channels = 2;
+  request.bandwidth = 1e-10;
+  EXPECT_THROW(schedule(db, request), ContractViolation);
+}
+
 TEST(Schedule, DrpOptionsArePassedThrough) {
   const Database db = generate_database({.items = 40, .diversity = 2.0, .seed = 5});
   ScheduleRequest request;
